@@ -252,6 +252,33 @@ def _guarded_explain(service: ExplainService, request: dict, args,
     return payload
 
 
+_SHUTDOWN_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+_fork_hook_installed = False
+
+
+def _unblock_shutdown_signals() -> None:
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SHUTDOWN_SIGNALS)
+
+
+def _with_shutdown_signals_blocked(fn, *args):
+    """Run ``fn(*args)`` on a dispatch thread with SIGINT/SIGTERM
+    blocked, so the kernel delivers them to the main thread — the one
+    blocked in ``readline`` that the handler must interrupt.
+
+    The mask is set per task because starting multiprocessing's
+    resource tracker unblocks both signals in the calling thread.  A
+    worker pool forked from a dispatch thread would inherit the mask and
+    survive ``terminate()``, so an at-fork hook unblocks them in every
+    child first thing."""
+    global _fork_hook_installed
+    if hasattr(signal, "pthread_sigmask"):
+        if not _fork_hook_installed:
+            _fork_hook_installed = True
+            os.register_at_fork(after_in_child=_unblock_shutdown_signals)
+        signal.pthread_sigmask(signal.SIG_BLOCK, _SHUTDOWN_SIGNALS)
+    return fn(*args)
+
+
 class _ShutdownSignal(BaseException):
     """Raised by the SIGINT/SIGTERM handler to break a blocked
     ``readline`` — BaseException so no request-level handler can
@@ -395,8 +422,8 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
                               trace_id, op, started)
                         continue
                     pending.append((trace_id, op, started, pool.submit(
-                        _guarded_explain, service, request, args, table,
-                        query)))
+                        _with_shutdown_signals_blocked, _guarded_explain,
+                        service, request, args, table, query)))
                     _flush(block=False)
                     continue
                 # Control ops (and malformed requests) see the service

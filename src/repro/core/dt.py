@@ -22,6 +22,13 @@ space so that tuples inside each partition have similar influence:
 The emitted candidates carry per-group removal statistics so the Merger
 can use the Section 6.3 cached-tuple approximation.
 
+The split search is batched: a node's range thresholds of every
+continuous attribute are scored for every group of the synchronized
+recursion in one pass (:func:`repro.tree.splits.range_split_errors_batch`
+— one stable per-row sort and prefix sum over the padded
+(attribute, group) rows, bit-identical to searching each alone), and
+the per-group errors combine by ``max`` in one reduction.
+
 Leaf scoring is batched: all leaf/combined predicates are evaluated per
 group as chunked mask matrices (:meth:`ArrayMaskEvaluator.evaluate_batch`)
 and their removal statistics and sampled-influence scores come from two
@@ -51,7 +58,8 @@ from repro.predicates.clause import Clause, RangeClause, SetClause
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
 from repro.tree.node import TreeNode
-from repro.tree.splits import Split, node_error, range_split_errors, split_error
+from repro.tree.splits import (Split, node_error, range_split_errors_batch,
+                               split_error)
 
 
 @dataclass
@@ -330,10 +338,13 @@ class DTPartitioner:
         min_child = max(2, self.params.min_leaf_size // 4)
         current_error = self._combined_node_error(node, groups)
         best: tuple[Split, float] | None = None
+        range_splits = self._best_range_splits(
+            {attribute: clause for attribute, clause in node.clauses.items()
+             if isinstance(clause, RangeClause)},
+            node_groups, groups, min_child)
         for attribute, clause in node.clauses.items():
             if isinstance(clause, RangeClause):
-                candidate = self._best_range_split(
-                    attribute, clause, node_groups, groups, min_child)
+                candidate = range_splits.get(attribute)
             else:
                 candidate = self._best_set_split(
                     attribute, clause, node_groups, groups, min_child)
@@ -343,41 +354,65 @@ class DTPartitioner:
             return None
         return best[0]
 
-    def _best_range_split(self, attribute: str, clause: RangeClause,
-                          node_groups: list[_NodeGroup], groups: list[_GroupData],
-                          min_child: int) -> tuple[Split, float] | None:
-        pooled = [group.values[attribute][ng.sample]
-                  for group, ng in zip(groups, node_groups) if len(ng.sample)]
-        if not pooled:
-            return None
-        values = np.concatenate(pooled)
+    def _best_range_splits(self, clauses: dict[str, RangeClause],
+                           node_groups: list[_NodeGroup],
+                           groups: list[_GroupData], min_child: int,
+                           ) -> dict[str, tuple[Split, float]]:
+        """The best admissible threshold of each continuous attribute
+        (attributes without one are left out).
+
+        Every attribute's candidate thresholds are the interior quantiles
+        of its pooled sampled values; all attributes' thresholds are then
+        scored for every group in one batched pass, and the Section 6.1.3
+        combination is the max over groups.
+        """
+        present = [(group, ng) for group, ng in zip(groups, node_groups)
+                   if len(ng.sample)]
+        if not clauses or not present:
+            return {}
+        attributes = list(clauses)
+        rows = [group.values[attribute][ng.sample]
+                for attribute in attributes for group, ng in present]
+        pooled = np.stack([np.concatenate(rows[k * len(present):
+                                               (k + 1) * len(present)])
+                           for k in range(len(attributes))])
         quantiles = np.linspace(0.0, 1.0, self.params.max_split_candidates + 2)[1:-1]
-        thresholds = np.unique(np.quantile(values, quantiles))
-        thresholds = thresholds[(thresholds > clause.lo) & (thresholds < clause.hi)]
-        lo, hi = float(np.min(values)), float(np.max(values))
-        thresholds = thresholds[(thresholds > lo) & (thresholds <= hi)]
-        if not len(thresholds):
-            return None
-        combined = np.zeros(len(thresholds))
-        total_left = np.zeros(len(thresholds), dtype=np.int64)
-        total_right = np.zeros(len(thresholds), dtype=np.int64)
-        for group, ng in zip(groups, node_groups):
-            if not len(ng.sample):
-                continue
-            errors, n_left, n_right = range_split_errors(
-                group.values[attribute][ng.sample],
-                group.influences[ng.sample],
-                thresholds,
-            )
-            combined = np.maximum(combined, errors)
-            total_left += n_left
-            total_right += n_right
+        cuts = np.quantile(pooled, quantiles, axis=1).T
+        thresholds = []
+        for attribute, row, values in zip(attributes, cuts, pooled):
+            clause = clauses[attribute]
+            found = np.unique(row)
+            found = found[(found > clause.lo) & (found < clause.hi)]
+            found = found[(found > np.min(values)) & (found <= np.max(values))]
+            thresholds.append(found)
+        width = max(len(found) for found in thresholds)
+        if not width:
+            return {}
+        # Attributes with fewer thresholds are padded with NaN, which no
+        # value is below: a padded slot splits off an empty left child,
+        # so min_child (>= 2) never admits it.
+        padded = np.full((len(attributes), width), np.nan)
+        for k, found in enumerate(thresholds):
+            padded[k, :len(found)] = found
+        influences = [group.influences[ng.sample] for group, ng in present]
+        errors, n_left, n_right = range_split_errors_batch(
+            rows, influences * len(attributes),
+            np.repeat(padded, len(present), axis=0))
+        shape = (len(attributes), len(present), width)
+        combined = np.maximum(errors.reshape(shape).max(axis=1), 0.0)
+        total_left = n_left.reshape(shape).sum(axis=1)
+        total_right = n_right.reshape(shape).sum(axis=1)
         admissible = (total_left >= min_child) & (total_right >= min_child)
-        if not np.any(admissible):
-            return None
-        combined = np.where(admissible, combined, np.inf)
-        index = int(np.argmin(combined))
-        return Split(attribute, "range", float(thresholds[index])), float(combined[index])
+        best = {}
+        for k, attribute in enumerate(attributes):
+            if not np.any(admissible[k]):
+                continue
+            scores = np.where(admissible[k], combined[k], np.inf)
+            index = int(np.argmin(scores))
+            best[attribute] = (Split(attribute, "range",
+                                     float(thresholds[k][index])),
+                               float(scores[index]))
+        return best
 
     def _best_set_split(self, attribute: str, clause: SetClause,
                         node_groups: list[_NodeGroup], groups: list[_GroupData],

@@ -351,7 +351,12 @@ class Scorpion:
         with span("merge") as msp:
             merged = merger.run(candidates, seeds=seeds)
             if msp:
-                msp.annotate(merged=len(merged))
+                report = merger.report
+                msp.annotate(merged=len(merged), expanded=report.n_expanded,
+                             merge_evaluations=report.n_merge_evaluations,
+                             estimate_gaps=report.estimate_gap_count,
+                             estimate_gap_max=report.estimate_gap_max,
+                             estimate_gap_mean=report.estimate_gap_mean)
         merge_elapsed = time.perf_counter() - merge_start
         if self.use_cache:
             self.cache.store_merged(query, merged)

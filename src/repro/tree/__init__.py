@@ -20,6 +20,7 @@ from repro.tree.splits import (
     candidate_splits,
     node_error,
     range_split_errors,
+    range_split_errors_batch,
 )
 
 __all__ = [
@@ -30,4 +31,5 @@ __all__ = [
     "candidate_splits",
     "node_error",
     "range_split_errors",
+    "range_split_errors_batch",
 ]

@@ -129,25 +129,66 @@ def range_split_errors(values: np.ndarray, targets: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Size-weighted child errors for *all* thresholds at once.
 
-    Sorting once and using prefix sums of the targets makes evaluating
-    ``k`` candidate thresholds O(n log n + k) instead of O(n·k) — the
-    DT partitioner's split search calls this per (node, attribute,
-    group).
-
     Returns ``(errors, n_left, n_right)`` arrays aligned with
-    ``thresholds``; the left child is ``value < threshold``.
+    ``thresholds``; the left child is ``value < threshold``.  The
+    one-group case of :func:`range_split_errors_batch`.
     """
-    values = np.asarray(values, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    errors, n_left, n_right = range_split_errors_batch(
+        [values], [targets], thresholds)
+    return errors[0], n_left[0], n_right[0]
+
+
+def range_split_errors_batch(values: Sequence[np.ndarray],
+                             targets: Sequence[np.ndarray],
+                             thresholds: np.ndarray,
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Size-weighted child errors of every group for every threshold.
+
+    ``values[g]`` and ``targets[g]`` are group ``g``'s node rows;
+    ``thresholds`` is shared by every group, or one row per group (NaN
+    pads a shorter row: no value is below it).  The
+    groups are padded into one ``(groups, rows)`` array (NaN values sort
+    last, zero targets), sorted once per row (stable), and each row's
+    prefix sums of the targets give every threshold's child sums, so a
+    node's ``k`` thresholds over ``G`` groups cost one sort and one
+    ``cumsum`` — the DT partitioner's split search calls this per
+    (node, attribute).  A row's result is bit-for-bit what sorting that
+    group alone would give: the stable sort keeps the group's own NaNs
+    ahead of the padding, and ``cumsum`` accumulates each row
+    sequentially.
+
+    Returns ``(errors, n_left, n_right)``, each ``(groups, thresholds)``;
+    the left child is ``value < threshold``.
+    """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    sorted_targets = targets[order]
-    prefix = np.concatenate([[0.0], np.cumsum(sorted_targets)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(sorted_targets * sorted_targets)])
-    n_left = np.searchsorted(sorted_values, thresholds, side="left")
+    lengths = np.asarray([len(v) for v in values], dtype=np.int64)
+    width = int(lengths.max()) if len(lengths) else 0
+    padded_values = np.full((len(values), width), np.nan)
+    padded_targets = np.zeros((len(values), width))
+    for g, (row_values, row_targets) in enumerate(zip(values, targets)):
+        padded_values[g, :lengths[g]] = row_values
+        padded_targets[g, :lengths[g]] = row_targets
+    order = np.argsort(padded_values, axis=1, kind="stable")
+    sorted_values = np.take_along_axis(padded_values, order, axis=1)
+    sorted_targets = np.take_along_axis(padded_targets, order, axis=1)
+    del padded_values, padded_targets, order
+    prefix = np.zeros((len(values), width + 1))
+    prefix_sq = np.zeros((len(values), width + 1))
+    np.cumsum(sorted_targets, axis=1, out=prefix[:, 1:])
+    sorted_targets *= sorted_targets
+    np.cumsum(sorted_targets, axis=1, out=prefix_sq[:, 1:])
+    # Rows below each threshold (NaN compares false, so padding never
+    # counts) — the searchsorted(side="left") position in the sorted row.
+    per_group = np.broadcast_to(thresholds, (len(values), thresholds.shape[-1]))
+    n_left = np.empty(per_group.shape, dtype=np.int64)
+    for t, column in enumerate(per_group.T):
+        n_left[:, t] = np.count_nonzero(sorted_values < column[:, np.newaxis],
+                                        axis=1)
+    n = lengths[:, np.newaxis]
     n_right = n - n_left
+    group = np.arange(len(values))[:, np.newaxis]
+    total, total_sq = prefix[group, n], prefix_sq[group, n]
+    left, left_sq = prefix[group, n_left], prefix_sq[group, n_left]
 
     def _segment_std(total: np.ndarray, total_sq: np.ndarray,
                      count: np.ndarray) -> np.ndarray:
@@ -157,13 +198,11 @@ def range_split_errors(values: np.ndarray, targets: np.ndarray,
             std = np.sqrt(variance)
         return np.where(count >= 2, std, 0.0)
 
-    left_std = _segment_std(prefix[n_left], prefix_sq[n_left], n_left)
-    right_std = _segment_std(prefix[n] - prefix[n_left],
-                             prefix_sq[n] - prefix_sq[n_left], n_right)
-    if n == 0:
-        errors = np.zeros(len(thresholds))
-    else:
+    left_std = _segment_std(left, left_sq, n_left)
+    right_std = _segment_std(total - left, total_sq - left_sq, n_right)
+    with np.errstate(divide="ignore", invalid="ignore"):
         errors = (n_left * left_std + n_right * right_std) / n
+    errors = np.where(n == 0, 0.0, errors)
     return errors, n_left, n_right
 
 

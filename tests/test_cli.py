@@ -388,28 +388,107 @@ class TestServe:
 
     def test_sigint_drains_inflight_and_shuts_down(self, planted_csv):
         import json
+        import os
         import signal
         import threading
+        import time
         from repro.faults import fault_injection
 
         log = io.StringIO()
-        timer = threading.Timer(
-            0.3, lambda: signal.raise_signal(signal.SIGINT))
-        timer.start()
-        try:
-            # The second read hangs (a blocked readline, as deployed);
-            # SIGINT must break it, drain request 1, and exit 0.
-            with fault_injection("serve.read:hang=30@2"):
-                code, responses = self._serve(planted_csv, [
-                    {"outliers": ["a"], "holdouts": ["c"]},
-                ], log=log)
-        finally:
-            timer.cancel()
+        sent = []
+
+        def interrupt_blocked_read(registry):
+            # Wait until the main thread sits in the second (hanging)
+            # read, then signal the *process*, as Ctrl-C or a service
+            # manager would.
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if registry.stats().get("serve.read", {}).get("fired"):
+                    time.sleep(0.2)
+                    sent.append(time.monotonic())
+                    os.kill(os.getpid(), signal.SIGINT)
+                    return
+                time.sleep(0.01)
+
+        # The second read hangs (a blocked readline, as deployed);
+        # SIGINT must break it, drain request 1, and exit 0.
+        with fault_injection("serve.read:hang=30@2") as registry:
+            sender = threading.Thread(target=interrupt_blocked_read,
+                                      args=(registry,), daemon=True)
+            sender.start()
+            code, responses = self._serve(planted_csv, [
+                {"outliers": ["a"], "holdouts": ["c"]},
+            ], log=log)
+            returned = time.monotonic()
+            sender.join(timeout=5)
+        assert not sender.is_alive()
+        assert sent, "the read never hung"
+        # Shutdown came from the signal, not from the 30 s hang running
+        # out.
+        assert returned - sent[0] < 5.0
         assert code == 0
         assert responses and responses[0]["ok"] is True
         records = [json.loads(line) for line in log.getvalue().splitlines()]
         assert records[-1]["event"] == "serve_shutdown"
         assert records[-1]["reason"] == "SIGINT"
+
+    def test_dispatched_explains_block_shutdown_signals(self):
+        import signal
+        from concurrent.futures import ThreadPoolExecutor
+        from repro.cli import _with_shutdown_signals_blocked
+
+        def current_mask():
+            return signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            # Even after something in the task unblocked them (as the
+            # resource tracker's start does), the next task re-blocks.
+            pool.submit(_with_shutdown_signals_blocked, signal.pthread_sigmask,
+                        signal.SIG_UNBLOCK, {signal.SIGINT}).result()
+            blocked = pool.submit(_with_shutdown_signals_blocked,
+                                  current_mask).result()
+        assert {signal.SIGINT, signal.SIGTERM} <= blocked
+        assert signal.SIGINT not in current_mask()
+
+    def test_pool_forked_from_a_serve_thread_stays_killable(self):
+        # A worker pool started by an explain on a dispatch thread must
+        # not inherit the blocked mask: terminate() (SIGTERM) stops it.
+        import signal
+        from concurrent.futures import ThreadPoolExecutor
+        from multiprocessing import resource_tracker
+        from repro.aggregates import Sum
+        from repro.cli import _with_shutdown_signals_blocked
+        from repro.core.influence import InfluenceScorer
+        from repro.core.problem import ScorpionQuery
+        from repro.predicates.clause import RangeClause
+        from repro.predicates.predicate import Predicate
+        from repro.query.groupby import GroupByQuery
+        from tests.conftest import planted_sum_table
+
+        # Starting the resource tracker unblocks the caller's signals
+        # as a side effect; have it running already, as in a long-lived
+        # server, so the fork really happens from a blocking thread.
+        resource_tracker.ensure_running()
+        table, outliers, holdouts = planted_sum_table()
+        scorer = InfluenceScorer(
+            ScorpionQuery(table, GroupByQuery("g", Sum(), "value"), outliers,
+                          holdouts=holdouts), workers=2, batch_chunk=4)
+        batch = [Predicate([RangeClause("a1", lo, lo + 10.0)])
+                 for lo in range(0, 80, 5)]
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(_with_shutdown_signals_blocked,
+                            scorer.score_batch, batch).result(timeout=120)
+            assert scorer.uses_parallel
+            processes = list(scorer._executor._pool._processes.values())
+            assert processes
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.join(timeout=10)
+                assert process.exitcode == -signal.SIGTERM
+        finally:
+            scorer.close()
 
     def test_inflight_limit_validation(self, planted_csv, capsys):
         code, responses = self._serve(planted_csv, [

@@ -234,3 +234,76 @@ class TestEndToEnd:
         assert not scorer.uses_incremental
         result = DTPartitioner(min_leaf_size=2, seed=0).run(problem, scorer)
         assert result.candidates
+
+
+def _per_attribute_range_split(dt, attribute, clause, node_groups, groups,
+                               min_child):
+    """Reference split search: one attribute at a time, one group at
+    a time (the batched search must match it bit for bit)."""
+    from repro.tree.splits import Split, range_split_errors
+
+    pooled = [group.values[attribute][ng.sample]
+              for group, ng in zip(groups, node_groups) if len(ng.sample)]
+    if not pooled:
+        return None
+    values = np.concatenate(pooled)
+    quantiles = np.linspace(0.0, 1.0, dt.params.max_split_candidates + 2)[1:-1]
+    thresholds = np.unique(np.quantile(values, quantiles))
+    thresholds = thresholds[(thresholds > clause.lo) & (thresholds < clause.hi)]
+    thresholds = thresholds[(thresholds > np.min(values))
+                            & (thresholds <= np.max(values))]
+    if not len(thresholds):
+        return None
+    combined = np.zeros(len(thresholds))
+    total_left = np.zeros(len(thresholds), dtype=np.int64)
+    total_right = np.zeros(len(thresholds), dtype=np.int64)
+    for group, ng in zip(groups, node_groups):
+        if not len(ng.sample):
+            continue
+        errors, n_left, n_right = range_split_errors(
+            group.values[attribute][ng.sample], group.influences[ng.sample],
+            thresholds)
+        combined = np.maximum(combined, errors)
+        total_left += n_left
+        total_right += n_right
+    admissible = (total_left >= min_child) & (total_right >= min_child)
+    if not np.any(admissible):
+        return None
+    combined = np.where(admissible, combined, np.inf)
+    index = int(np.argmin(combined))
+    return (Split(attribute, "range", float(thresholds[index])),
+            float(combined[index]))
+
+
+class TestBatchedSplitSearch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_attribute_per_group_search(self, seed):
+        from repro.core.dt import _NodeGroup
+        from repro.predicates.clause import RangeClause
+
+        problem = avg_problem(seed=seed, n_per_group=300)
+        scorer = InfluenceScorer(problem)
+        dt = DTPartitioner(seed=seed)
+        dt._query = problem
+        dt._scorer = scorer
+        dt._rng = np.random.default_rng(seed)
+        groups = [dt._prepare_group(scorer, ctx)
+                  for ctx in scorer.outlier_contexts]
+        rng = np.random.default_rng(seed)
+        clauses = {"x": RangeClause("x", 0.0, 100.0),
+                   "y": RangeClause("y", 20.0, 70.0)}
+        for trial in range(25):
+            # Random node samples, some groups empty, some tiny.
+            node_groups = []
+            for group in groups:
+                size = int(rng.choice([0, 1, 5, 40, 200]))
+                sample = np.sort(rng.choice(group.size, size=size,
+                                            replace=False))
+                node_groups.append(_NodeGroup(rows=sample, sample=sample))
+            min_child = int(rng.choice([2, 5, 50]))
+            got = dt._best_range_splits(clauses, node_groups, groups,
+                                        min_child)
+            for attribute, clause in clauses.items():
+                want = _per_attribute_range_split(
+                    dt, attribute, clause, node_groups, groups, min_child)
+                assert got.get(attribute) == want, (trial, attribute)

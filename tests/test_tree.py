@@ -16,6 +16,7 @@ from repro.tree.splits import (
     candidate_splits,
     node_error,
     range_split_errors,
+    range_split_errors_batch,
     split_error,
 )
 
@@ -130,6 +131,78 @@ class TestRangeSplitErrors:
                                           np.asarray([threshold]))
         expected = split_error(targets, values < threshold)
         assert errors[0] == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+
+def _single_group_split_errors(values, targets, thresholds):
+    """Reference: sort one group and searchsorted its thresholds (the
+    batched kernel must match it bit for bit)."""
+    values = np.asarray(values, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    sorted_targets = targets[order]
+    prefix = np.concatenate([[0.0], np.cumsum(sorted_targets)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(sorted_targets
+                                                 * sorted_targets)])
+    n_left = np.searchsorted(sorted_values, thresholds, side="left")
+    n_right = n - n_left
+
+    def std(total, total_sq, count):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = total / count
+            variance = np.maximum(total_sq / count - mean * mean, 0.0)
+            return np.where(count >= 2, np.sqrt(variance), 0.0)
+
+    left = std(prefix[n_left], prefix_sq[n_left], n_left)
+    right = std(prefix[n] - prefix[n_left], prefix_sq[n] - prefix_sq[n_left],
+                n_right)
+    if n == 0:
+        return np.zeros(len(thresholds)), n_left, n_right
+    return (n_left * left + n_right * right) / n, n_left, n_right
+
+
+class TestRangeSplitErrorsBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_bit_identical_to_per_group_search(self, data):
+        n_groups = data.draw(st.integers(1, 5))
+        # Coarse values so ties (and the stable order among them) matter;
+        # NaNs must stay ahead of the padding.
+        value = st.one_of(st.integers(0, 8).map(float), st.just(np.nan))
+        values, targets = [], []
+        for _ in range(n_groups):
+            n = data.draw(st.integers(0, 40))
+            values.append(np.asarray(data.draw(st.lists(
+                value, min_size=n, max_size=n)), dtype=np.float64))
+            targets.append(np.asarray(data.draw(st.lists(
+                st.floats(-50, 50, allow_nan=False), min_size=n,
+                max_size=n)), dtype=np.float64))
+        threshold_lists = st.lists(st.floats(0, 8, allow_nan=False),
+                                   min_size=1, max_size=8)
+        if data.draw(st.booleans()):
+            # One threshold set shared by every group.
+            shared = np.unique(np.asarray(data.draw(threshold_lists)))
+            per_group = [shared] * n_groups
+            thresholds = shared
+        else:
+            # A threshold row per group, NaN-padded to a common width.
+            per_group = [np.unique(np.asarray(data.draw(threshold_lists)))
+                         for _ in range(n_groups)]
+            thresholds = np.full((n_groups, max(map(len, per_group))),
+                                 np.nan)
+            for g, row in enumerate(per_group):
+                thresholds[g, :len(row)] = row
+        errors, n_left, n_right = range_split_errors_batch(
+            values, targets, thresholds)
+        assert errors.shape == (n_groups, max(map(len, per_group)))
+        for g in range(n_groups):
+            want = _single_group_split_errors(values[g], targets[g],
+                                              per_group[g])
+            k = len(per_group[g])
+            assert np.array_equal(errors[g, :k], want[0])
+            assert np.array_equal(n_left[g, :k], want[1])
+            assert np.array_equal(n_right[g, :k], want[2])
 
 
 class TestTreeNode:
